@@ -302,6 +302,7 @@ class ReplicaCampaign:
             "shared_batches": self.shared_batches,
             "shared_rows": self.shared_rows,
             "max_shared_batch": self.max_shared_batch,
+            "row_cache": "off" if self.row_cache is None else "on",
         }
         if self.row_cache is not None:
             out.update(self.row_cache.summary())
@@ -337,7 +338,10 @@ class ReplicaCampaign:
         # shared `_evaluator` — it belongs to the first of them) consults
         # the same memo, so environments seen by any replica are hits for
         # all.  "off" detaches whatever the factory may have installed.
-        if resolve_row_cache(self.row_cache_mode, engine.potential):
+        if resolve_row_cache(
+            self.row_cache_mode, engine.potential,
+            engine.evaluator.row_keys.kind,
+        ):
             if self.row_cache is None:
                 budget = (
                     None if self._row_cache_mb is None

@@ -203,7 +203,13 @@ def _print_hot_path_summary(summary, events: int) -> None:
 
 
 def _print_row_cache_summary(summary) -> None:
-    """Row-energy cache hit rate + resident size (when a cache is active)."""
+    """Resolved row-cache state, then hit rate + resident size if active."""
+    if "row_cache" in summary:
+        layout = summary.get("row_key_layout")
+        print(
+            f"row_cache = {summary['row_cache']}"
+            + (f" ({layout} row keys)" if layout else "")
+        )
     if "row_cache_hit_rate" in summary:
         print(f"row_cache_hit_rate = {summary['row_cache_hit_rate']:.4f}")
         print(

@@ -106,13 +106,17 @@ class SerialAKMCBase:
         the modes (see :mod:`repro.core.delta`).
     row_cache:
         ``"auto"`` (default) attaches a persistent
-        :class:`~repro.core.rowcache.RowEnergyCache` exactly where in-batch
-        row dedup turns on (row-invariant network potentials): unique-row
-        energies are memoized across batches and steps, so the rebuild
-        phase hash-looks-up recurring environments instead of re-running
-        the GEMM stack.  ``"on"`` forces attachment, ``"off"`` disables it.
-        Bitwise-neutral under ``batch_row_invariant`` — trajectories are
-        identical with the cache on or off.
+        :class:`~repro.core.rowcache.RowEnergyCache` where in-batch row
+        dedup turns on (row-invariant network potentials) and the rows use
+        the short-cutoff ``"packed"`` key layout: unique-row energies are
+        memoized across batches and steps, so the rebuild phase
+        hash-looks-up recurring environments instead of re-running the GEMM
+        stack.  Wide rows (the paper's 6.5 A cutoff) rarely recur, so
+        ``"auto"`` leaves the cache off there; ``summary()`` reports the
+        outcome as ``row_cache`` and ``row_key_layout``.  ``"on"`` forces
+        attachment, ``"off"`` disables it.  Bitwise-neutral under
+        ``batch_row_invariant`` — trajectories are identical with the cache
+        on or off.
     row_cache_mb:
         Optional resident-size budget in MiB for the row cache; the LRU
         clock evicts past it.  ``None`` (default) means unbounded.
@@ -161,9 +165,9 @@ class SerialAKMCBase:
                 "batched" if getattr(potential, "batch_row_invariant", False)
                 else "scalar"
             )
-        # Validates the mode string (raising on typos) and decides whether
-        # this potential gets a cache under "auto".
-        row_cache_on = resolve_row_cache(row_cache, potential)
+        # Validates the mode string before any set-up work (raising on
+        # typos); the evaluator's key layout settles "auto" further down.
+        resolve_row_cache(row_cache, potential)
         self.row_cache_mode = row_cache
         self.evaluation = evaluation
         self.batching = batching
@@ -225,7 +229,9 @@ class SerialAKMCBase:
         if rebuild_path != "auto":
             self.kernel.set_rebuild_path(rebuild_path)
         self.row_cache: Optional[RowEnergyCache] = None
-        if row_cache_on:
+        if resolve_row_cache(
+            row_cache, potential, self.evaluator.row_keys.kind
+        ):
             budget = (
                 None if row_cache_mb is None
                 else int(float(row_cache_mb) * 1024 * 1024)
@@ -507,7 +513,12 @@ class SerialAKMCBase:
         """
         return merge_disjoint(
             self.kernel.summary(),
-            {"steps": self.step_count, "time": self.time},
+            {
+                "steps": self.step_count,
+                "time": self.time,
+                "row_cache": "off" if self.row_cache is None else "on",
+                "row_key_layout": self.evaluator.row_keys.kind,
+            },
             self.profiler.summary(),
         )
 

@@ -1,12 +1,12 @@
 """Persistent row-energy memoization for the evaluator miss path.
 
 ``VacancySystemEvaluator._dedup_rows`` already proves that most rows in a
-dilute alloy recur — it packs each ``(centre species, shell counts)`` row
-into one int64 signature and collapses duplicates — but the dedup only
-lives *within one batch* and then forgets.  The paper's VET hash cache
-(Sec. 3.4) observes that the set of distinct local environments over a
-trajectory is tiny and stable, so row energies should be computed once
-per *environment*, not once per batch.  :class:`RowEnergyCache` makes the
+dilute alloy recur — it keys each ``(centre species, shell counts)`` row
+with one exact int64 (``VacancySystemEvaluator.row_keys``) and collapses
+duplicates — but the dedup only lives *within one batch* and then
+forgets.  The paper's VET hash cache (Sec. 3.4) observes that the set of
+distinct local environments over a trajectory is tiny and stable, so row
+energies should be computed once per *environment*, not once per batch.  :class:`RowEnergyCache` makes the
 dedup persistent in time (across batches and steps) and in space (one
 cache shared across campaign replicas).
 
@@ -16,8 +16,8 @@ bit-identical energy regardless of the batch it appears in.  Under that
 contract a cache hit returns the same bits a fresh evaluation would, so
 trajectories with the cache on are bit-identical to ``row_cache="off"``.
 
-Cached values are stored as Python scalars keyed by the packed Python-int
-signature.  The float32/float64 -> Python float widening is exact and the
+Cached values are stored as Python scalars keyed by the row key as a
+Python int.  The float32/float64 -> Python float widening is exact and the
 narrowing back to the original dtype is the identity, so the round-trip
 preserves every bit.  Eviction is LRU (an ``OrderedDict`` clock): every
 hit touches its entry, inserts append, and the byte budget pops from the
@@ -32,28 +32,36 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: Allowed ``row_cache`` modes, mirroring ``DEDUP_MODES``: ``auto`` turns
-#: the cache on exactly where in-batch dedup turns on (network potentials
-#: with the ``batch_row_invariant`` guarantee), ``on`` forces attachment
-#: (a non-invariant potential still never *consults* it — same permissive
-#: semantics as ``dedup="always"``), ``off`` disables it.
+#: Allowed ``row_cache`` modes: ``auto`` turns the cache on where in-batch
+#: dedup turns on (network potentials with the ``batch_row_invariant``
+#: guarantee) over short-cutoff rows (see :func:`resolve_row_cache`),
+#: ``on`` forces attachment (a non-invariant potential still never
+#: *consults* it — same permissive semantics as ``dedup="always"``),
+#: ``off`` disables it.
 ROW_CACHE_MODES = ("auto", "on", "off")
 
-#: Analytic per-entry byte charge: one packed int64 key plus one float64
+#: Analytic per-entry byte charge: one int64 row key plus one float64
 #: value.  ``tensorkmc_memory_model(row_cache=...)`` charges the same
 #: constant, and :meth:`RowEnergyCache.memory_bytes` reports it, so the
 #: model is validated against live bytes exactly like delta snapshots.
 ROW_ENTRY_BYTES = 16
 
 
-def resolve_row_cache(mode: str, potential) -> bool:
+def resolve_row_cache(mode: str, potential, key_layout: str = "packed") -> bool:
     """Decide whether a row cache should be active for ``potential``.
 
-    Mirrors the ``dedup="auto"`` gate in the evaluator: ``auto`` enables
-    the cache only for ``batch_row_invariant`` potentials that expose
-    ``network_channels`` (the NNP family, where re-evaluating a row costs
-    a GEMM stack); table potentials keep it off by default because a
-    table lookup is already about as cheap as a cache probe.
+    ``key_layout`` is the ``kind`` of the evaluator's
+    :class:`~repro.core.vacancy_system.RowKeyLayout`.  ``auto`` enables the
+    cache only for ``batch_row_invariant`` potentials that expose
+    ``network_channels`` (the NNP family, where re-evaluating a row costs a
+    GEMM stack) *and* only for the ``"packed"`` layout of short cutoffs.
+    Table potentials keep it off because a table lookup is already about
+    as cheap as a cache probe.  Wide rows (``"mixed"``, e.g. the paper's
+    6.5 A cutoff) keep it off because their environments rarely recur: on
+    a 12^3 Fe-Cu box at 6.5 A the hit rate was 0.46, the cache grew by
+    ~1200 entries per event, and the run was 8-15% slower with it.
+    ``on`` attaches the cache regardless; it is probed wherever rows have
+    exact int64 keys (not the ``"bytes"`` layout).
     """
     if mode not in ROW_CACHE_MODES:
         raise ValueError(
@@ -65,11 +73,14 @@ def resolve_row_cache(mode: str, potential) -> bool:
         return True
     if not getattr(potential, "batch_row_invariant", False):
         return False
-    return getattr(potential, "network_channels", None) is not None
+    return (
+        getattr(potential, "network_channels", None) is not None
+        and key_layout == "packed"
+    )
 
 
 class RowEnergyCache:
-    """Content-addressed LRU map from packed row signatures to energies.
+    """Content-addressed LRU map from int64 row keys to energies.
 
     Parameters
     ----------
@@ -88,7 +99,11 @@ class RowEnergyCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict[int, float] = OrderedDict()
         self._value_dtype: np.dtype | None = None
-        self._potential_token: tuple[int, int] | None = None
+        # The potential the contents belong to, held by reference: a live
+        # object's identity cannot be recycled, whereas a bare id() can be
+        # reissued to a new potential once the old one is collected.
+        self._potential = None
+        self._epoch = 0
         # Monotonic counters: they survive clears and invalidations so
         # checkpoint-resumed runs keep reporting cumulative totals.
         self.hits = 0
@@ -100,17 +115,19 @@ class RowEnergyCache:
     def sync(self, potential) -> None:
         """Bind the cache to ``potential``'s current parameters.
 
-        The token pairs the potential's object identity with its
-        ``params_epoch`` (bumped by ``set_standardisation`` / weight
-        updates).  A mismatch means cached energies were produced by a
-        different energy function, so the contents are dropped; the
-        counters persist (they count work, not contents).
+        The binding is the potential object itself plus its
+        ``params_epoch`` (bumped by ``set_standardisation``,
+        ``AtomicNetwork.set_parameters`` and every ``Adam`` step).  A
+        mismatch means cached energies were produced by a different energy
+        function, so the contents are dropped; the counters persist (they
+        count work, not contents).
         """
-        token = (id(potential), int(getattr(potential, "params_epoch", 0)))
-        if token != self._potential_token:
-            if self._potential_token is not None:
+        epoch = int(getattr(potential, "params_epoch", 0))
+        if potential is not self._potential or epoch != self._epoch:
+            if self._potential is not None:
                 self.clear()
-            self._potential_token = token
+            self._potential = potential
+            self._epoch = epoch
 
     def clear(self) -> None:
         """Drop all cached rows (counters are monotonic and persist)."""
@@ -120,7 +137,7 @@ class RowEnergyCache:
     # -- lookup / insert ----------------------------------------------
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Probe the cache for each packed key.
+        """Probe the cache for each row key.
 
         Returns ``(found, values)`` where ``found`` is a boolean mask and
         ``values`` holds the cached energies (in the cache's value dtype)

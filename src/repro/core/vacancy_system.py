@@ -21,7 +21,125 @@ from ..sunway.costmodel import CostLedger, charge_batched_rate_eval
 from .backend import get_backend
 from .tet import TripleEncoding
 
-__all__ = ["StateEnergies", "StateEnergiesBatch", "VacancySystemEvaluator"]
+__all__ = [
+    "RowKeyLayout",
+    "StateEnergies",
+    "StateEnergiesBatch",
+    "VacancySystemEvaluator",
+]
+
+
+def _group_keys(keys: np.ndarray):
+    """``(rep, inverse)`` of equal int64 keys, unique keys in sorted order.
+
+    Like ``np.unique(keys, return_index=True, return_inverse=True)[1:]``,
+    except that ``rep`` may pick any occurrence of a key, not the first:
+    an unstable sort is much cheaper, and equal exact keys mean equal rows.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+class RowKeyLayout:
+    """Exact linear int64 key of a site row ``(centre species, counts)``.
+
+    ``key = centre * center_weight + sum_j count_j * weights[j]`` — a
+    mixed-radix number whose digit ``j`` has radix ``radix[j]`` (the centre
+    is the most significant digit).  Every digit inside its radix makes the
+    key injective; arithmetic wraps modulo 2**64, which keeps it injective
+    as long as the radix product is at most 2**64.  Because the key is
+    linear in the counts, a count patch maps to a key patch, which is what
+    lets :meth:`VacancySystemEvaluator.evaluate_rows` dedup swap states in
+    key space.
+
+    Three kinds:
+
+    * ``"packed"`` — rows of at most 7 channels, radix 256 everywhere: the
+      byte packing ``(key << 8) | count`` of the original dedup, so these
+      keys (and the row cache's content addresses) are unchanged;
+    * ``"mixed"`` — wider rows, radix ``shell multiplicity + 1`` per
+      (shell, element) column and ``n_elements + 1`` for the centre (the
+      species codes incl. the vacancy); 60.8 bits at the paper's 6.5 A
+      Fe-Cu cutoff;
+    * ``"bytes"`` — the radix product overflows 2**64; rows are keyed
+      byte-wise instead and never enter the row cache.
+    """
+
+    KINDS = ("packed", "mixed", "bytes")
+
+    def __init__(self, kind: str, center_radix: int, radix) -> None:
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown row-key layout {kind!r}")
+        radix = [int(r) for r in radix]
+        weights = [1] * len(radix)
+        for j in range(len(radix) - 2, -1, -1):
+            weights[j] = weights[j + 1] * radix[j + 1]
+        center_weight = weights[0] * radix[0] if radix else 1
+        if center_weight * int(center_radix) > 2**64:
+            kind = "bytes"
+        self.kind = kind
+        self.width = len(radix)
+        self.center_radix = int(center_radix)
+        self.radix = np.asarray(radix, dtype=np.int64)
+        #: Whether keys are exact (injective) int64s — false for "bytes".
+        self.exact = kind != "bytes"
+        if self.exact:
+            # Two's-complement wrap of each weight: the key is computed
+            # modulo 2**64, where the wrapped weights are the true ones.
+            def wrap(v):
+                return v - 2**64 if v >= 2**63 else v
+
+            self.center_weight = wrap(center_weight)
+            self.weights = np.array([wrap(w) for w in weights], dtype=np.int64)
+        else:
+            self.center_weight = None
+            self.weights = None
+
+    @classmethod
+    def packed(cls, width: int) -> "RowKeyLayout":
+        """Radix 256 for every digit (``"bytes"`` past 7 channels)."""
+        return cls("packed", 256, [256] * int(width))
+
+    @classmethod
+    def for_shells(cls, multiplicity, n_elements: int) -> "RowKeyLayout":
+        """The layout of an evaluator's rows: ``n_shells * n_elements``
+        count columns, shell-major like the feature counts."""
+        width = len(multiplicity) * int(n_elements)
+        if width <= 7:
+            return cls.packed(width)
+        radix = np.repeat(np.asarray(multiplicity, dtype=np.int64) + 1,
+                          int(n_elements))
+        return cls("mixed", int(n_elements) + 1, radix)
+
+    def keys(self, xp, center_types, vals):
+        """``(N,)`` int64 keys of ``N`` rows (``vals`` is ``(N, width)``).
+
+        No range check: the caller guarantees every digit is inside its
+        radix (see :meth:`admits`).
+        """
+        ivals = xp.astype(vals, xp.int64)
+        keys = xp.astype(center_types, xp.int64) * self.center_weight
+        return keys + xp.matmul(ivals, xp.from_numpy(self.weights))
+
+    def admits(self, center_types: np.ndarray, vals: np.ndarray) -> bool:
+        """Whether every digit (an integer by contract) is inside its radix."""
+        if vals.shape[1] != self.width:
+            return False
+        if vals.size == 0:
+            return True
+        center = np.asarray(center_types)
+        return bool(
+            vals.min() >= 0
+            and np.all(vals.max(axis=0) < self.radix)
+            and center.min() >= 0
+            and center.max() < self.center_radix
+        )
 
 
 @dataclass(frozen=True)
@@ -173,6 +291,20 @@ class VacancySystemEvaluator:
                                     (a - 1 == s) - (b - 1 == s)
                                 ) * ((m == el) - (v == el))
         self._patch_table = table
+        #: The exact int64 key of this evaluator's site rows, fixed once
+        #: from the CET shell multiplicities (a shell's count of any one
+        #: element cannot exceed the number of sites in the shell).
+        self.row_keys = RowKeyLayout.for_shells(
+            np.bincount(tet.cet_shell, minlength=tet.n_shells),
+            self.n_elements,
+        )
+        # The key is linear, so each patch-table row has a key patch: the
+        # re-rate kernel adds these to the state-0 keys instead of adding
+        # count patches to feature rows.
+        self._patch_keys = (
+            table.astype(np.int64) @ self.row_keys.weights
+            if self.row_keys.exact else None
+        )
         code = np.empty((tet.n_region, self._n_states), dtype=np.int64)
         code[:, 0] = n_sh * n_sh * n_sp * n_sp
         code[:, 1:] = (
@@ -314,10 +446,14 @@ class VacancySystemEvaluator:
         """Memoize unique-row energies in ``cache`` from now on.
 
         The cache (a :class:`~repro.core.rowcache.RowEnergyCache`) is
-        consulted wherever in-batch dedup runs: before each potential call
-        the unique rows' packed signatures are probed, only never-seen
-        rows go through the potential, and the fresh energies are inserted
-        for the next batch.  Soundness is the dedup contract itself —
+        consulted wherever in-batch dedup runs on exact int64 row keys
+        (the ``"packed"`` and ``"mixed"`` layouts of :attr:`row_keys`):
+        before each potential call the unique rows' keys are probed, only
+        never-seen rows go through the potential, and the fresh energies
+        are inserted for the next batch.  Whether a cache is worth
+        attaching is the caller's call (see
+        :func:`~repro.core.rowcache.resolve_row_cache`).  Soundness is the
+        dedup contract itself —
         ``batch_row_invariant`` guarantees a cached row's bits equal a
         fresh evaluation's — so the cache changes *when* rows are
         evaluated, never their values.  Pass ``None`` to detach.  Returns
@@ -331,29 +467,29 @@ class VacancySystemEvaluator:
         """The attached :class:`RowEnergyCache`, or ``None``."""
         return self._row_cache
 
-    def _cached_unique_energies(self, packed, first, center_types, flat_counts):
-        """Energies of the unique rows, served from the row cache.
+    def _unique_energies(self, ukeys, center_u, counts_u):
+        """Energies of already-unique rows, through the row cache if any.
 
-        ``packed``/``first`` come from :meth:`_dedup_rows`; cached rows are
-        looked up by their packed signature, only the misses are evaluated
+        ``ukeys`` holds the rows' int64 keys (host array), or ``None`` when
+        they were keyed byte-wise — such rows never enter the cache.
+        Cached rows are looked up by key, only the misses are evaluated
         through the potential (one smaller GEMM stack), and the fresh
         energies are inserted.  Assembly is pure scatter — no arithmetic
         touches any value on the way through the cache — so the result is
         bit-identical to evaluating every unique row fresh.
         """
         cache = self._row_cache
+        if cache is None or ukeys is None:
+            return self._potential_energies(center_u, counts_u)
         cache.sync(self.potential)
         xp = self.xp
-        ukeys = xp.to_numpy(packed[first])
         found, cached = cache.lookup(ukeys)
         if found.all():
             return xp.from_numpy(cached)
         miss_idx = np.flatnonzero(~found)
         miss_x = xp.from_numpy(miss_idx)
         fresh = xp.to_numpy(
-            self._potential_energies(
-                center_types[first][miss_x], flat_counts[first][miss_x]
-            )
+            self._potential_energies(center_u[miss_x], counts_u[miss_x])
         )
         cache.insert(ukeys[miss_idx], fresh)
         out = np.zeros(len(ukeys), dtype=fresh.dtype)
@@ -362,22 +498,15 @@ class VacancySystemEvaluator:
         return xp.from_numpy(out)
 
     def _unique_row_energies(self, dedup, center_types, flat_counts):
-        """Energies of the dedup'd unique rows, through the cache if attached.
+        """Energies of all rows from their dedup'd unique rows.
 
-        ``dedup`` is a non-``None`` result of :meth:`_dedup_rows`.  The
-        cache is only consulted in the packed-int64 key domain (the wide
-        raw-bytes fallback reports ``packed=None``) — outside it the
-        unique rows are evaluated directly, exactly as before.
+        ``dedup`` is a non-``None`` result of :meth:`_dedup_rows`.
         """
-        first, inverse, packed = dedup
-        if self._row_cache is not None and packed is not None:
-            energies = self._cached_unique_energies(
-                packed, first, center_types, flat_counts
-            )
-        else:
-            energies = self._potential_energies(
-                center_types[first], flat_counts[first]
-            )
+        first, inverse, keys = dedup
+        ukeys = None if keys is None else self.xp.to_numpy(keys[first])
+        energies = self._unique_energies(
+            ukeys, center_types[first], flat_counts[first]
+        )
         return energies[inverse]
 
     def _charge_rate_eval(self, n_vets: int) -> None:
@@ -482,54 +611,67 @@ class VacancySystemEvaluator:
             migrating_species=nn_species,
         )
 
-    def _dedup_rows(self, center_types, counts):
-        """First-occurrence / inverse maps of identical site rows, or None.
+    def _dedups(self) -> bool:
+        """Whether batched rows are dedup'd under the current policy.
+
+        Only row-invariant potentials qualify, and under ``"auto"`` only
+        network potentials (``network_channels``) pay for the unique sort —
+        for cheap per-row reductions the sort costs more than the duplicate
+        evaluations it removes.
+        """
+        if not getattr(self.potential, "batch_row_invariant", False):
+            return False
+        if self.dedup == "never":
+            return False
+        return self.dedup == "always" or (
+            getattr(self.potential, "network_channels", None) is not None
+        )
+
+    def _dedup_rows(self, center_types, counts, checked: bool = True):
+        """Representative / inverse maps of identical site rows, or None.
 
         Two rows are identical when they share the centre species and the
         whole shell-counts signature — then a row-invariant potential is
-        guaranteed to produce bit-identical energies for both, so only the
-        first occurrence needs evaluating.  Returns ``None`` (no dedup) for
-        potentials without that guarantee, else ``(first, inverse, packed)``
-        where ``packed`` holds the per-row int64 signatures (the row
-        cache's content address) or ``None`` when the wide fallback keyed
-        the rows byte-wise instead.
+        guaranteed to produce bit-identical energies for both, so only one
+        occurrence needs evaluating.  Returns ``None`` when the ``dedup``
+        policy is off (see :meth:`_dedups`), else ``(first, inverse, keys)``
+        where ``first`` picks one row per distinct row (in key order),
+        ``inverse`` maps every row to its pick, and ``keys`` holds the int64
+        keys of :attr:`row_keys` (the row cache's content address) or
+        ``None`` when the rows were keyed byte-wise instead.
 
-        Rows whose values fit 8 bits pack into one int64 key per row (a
-        typed sort is far cheaper than byte-wise comparisons); wider rows
-        fall back to a raw-bytes key over the exact integer values.
-
-        The ``dedup`` policy gates the whole machinery: under ``"auto"``
-        only network potentials (``network_channels``) pay for the unique
-        sort — for cheap per-row reductions the sort costs more than the
-        duplicate evaluations it removes.
+        Rows the evaluator encoded itself fit their layout by construction,
+        so its own callers pass ``checked=False`` and skip the range check.
+        Any other input is checked: rows of a foreign width use the byte
+        packing (up to 7 channels), and rows with a digit outside its radix
+        fall back to the byte-wise key.
         """
-        if not getattr(self.potential, "batch_row_invariant", False):
-            return None
-        if self.dedup == "never":
-            return None
-        if self.dedup == "auto" and (
-            getattr(self.potential, "network_channels", None) is None
-        ):
+        if not self._dedups():
             return None
         vals = counts.reshape(counts.shape[0], -1)
         n_vals = int(vals.shape[1])
         n_rows = int(vals.shape[0])
-        if (n_vals + 1) * 8 <= 64 and (
-            n_rows * n_vals == 0 or bool(vals.max() < 256)
+        layout = self.row_keys
+        if n_vals != layout.width:
+            layout = RowKeyLayout.packed(n_vals)
+        if layout.exact and (
+            not checked or layout.admits(
+                self.xp.to_numpy(center_types), self.xp.to_numpy(vals)
+            )
         ):
-            packed = self.xp.astype(center_types, self.xp.int64)
-            ivals = self.xp.astype(vals, self.xp.int64)
-            for j in range(n_vals):
-                packed = (packed << 8) | ivals[:, j]
-            first, inverse = self.xp.unique_first_inverse(packed)
-            return first, inverse, packed
+            keys = layout.keys(self.xp, center_types, vals)
+            if self.xp.is_numpy:
+                first, inverse = _group_keys(keys)
+            else:
+                first, inverse = self.xp.unique_first_inverse(keys)
+            return first, inverse, keys
         else:
-            # The raw-bytes key relies on NumPy's void-dtype views; rows wide
-            # enough to land here are keyed host-side on any backend.  Counts
-            # are exact small integers, so an int64 staging matrix keys them
-            # losslessly — a float32 one would collide beyond the 24-bit
-            # mantissa.  These keys never enter the row cache (``None``
-            # marks them out of the packed-int64 content-address domain).
+            # The raw-bytes key relies on NumPy's void-dtype views; rows
+            # landing here are keyed host-side on any backend.  An int64
+            # staging matrix keys the exact integer values losslessly — a
+            # float32 one would collide beyond the 24-bit mantissa.  These
+            # keys never enter the row cache (``None`` marks them out of
+            # the int64 content-address domain).
             ct = self.xp.to_numpy(center_types)
             v = self.xp.to_numpy(vals)
             wide = np.empty((n_rows, n_vals + 1), dtype=np.int64)
@@ -593,7 +735,7 @@ class VacancySystemEvaluator:
         counts = self.region_features_counts(states)
         center_types = states[:, :n_region].reshape(-1)
         flat_counts = counts.reshape(-1, self.tet.n_shells, counts.shape[-1])
-        dedup = self._dedup_rows(center_types, flat_counts)
+        dedup = self._dedup_rows(center_types, flat_counts, checked=False)
         if dedup is not None:
             energies = self._unique_row_energies(
                 dedup, center_types, flat_counts
@@ -684,7 +826,10 @@ class VacancySystemEvaluator:
         :func:`counts_from_types` on the row's neighbour gather, the eight
         swap states patch those counts with exact-integer scatter adds (the
         centre and the direction's 1NN trade species), and the potential is
-        invoked once over the stacked ``P * 9`` rows.  For row-invariant
+        invoked once over the stacked ``P * 9`` rows.  When rows are deduped
+        on exact int64 keys, the patches are applied to the keys instead
+        (:class:`RowKeyLayout` is linear), and patched counts are assembled
+        only for the unique rows.  For row-invariant
         potentials (``batch_row_invariant``) every returned energy is
         bit-identical to the corresponding element of the full batch — which
         is what lets the delta rebuild path recompute *only* rows whose
@@ -708,8 +853,9 @@ class VacancySystemEvaluator:
         # State-0 shell counts of every selected row — the same one-sgemm-
         # per-element kernel as :func:`counts_from_types`, inlined against
         # the cached shell one-hot (identical inputs, identical bits).
-        vp = vets[pair_b]
-        neighbors = vp[np.arange(n_pairs)[:, None], tet.net_ids[pair_r]]
+        neighbors = vets.reshape(-1)[
+            (pair_b * tet.n_all)[:, None] + tet.net_ids[pair_r]
+        ]
         nb = xp.asarray(neighbors)
         counts0 = xp.empty(
             (n_pairs, tet.n_shells, n_el), dtype=xp.float32
@@ -721,18 +867,14 @@ class VacancySystemEvaluator:
         counts0_np = xp.to_numpy(counts0)                         # (P, S, E)
         # Swap patches: in state j the centre (VET position 0, species
         # ``vac``) and the 1NN target (position j, species ``mig``) trade
-        # places.  The per-state count change is fetched from the
-        # precomputed ``_patch_table`` (see ``__init__``) in one fused
-        # ``(P, 9)`` row gather — the state-0 column indexes the table's
-        # all-zero block, so a single contiguous add over the whole
-        # ``(P, 9, S * E)`` tensor finishes the patched counts.
-        states = vp[:, :n_states].astype(np.int64)                # (P, 9)
+        # places.  The per-state count change is the precomputed
+        # ``_patch_table`` row ``idx[p, j]`` (see ``__init__``); the state-0
+        # column indexes the table's all-zero block.
+        states = vets[pair_b, :n_states].astype(np.int64)         # (P, 9)
         vac = states[:, 0]                                        # (P,)
         idx = self._patch_code[pair_r]
         idx = idx + vac[:, None] * self._patch_species
         idx += states
-        counts_np = self._patch_table[idx]                        # (P, 9, S*E)
-        counts_np += counts0_np.reshape(n_pairs, 1, -1)
         # Centre species of each row per state: the row's own site, except
         # that in state j the two swap positions trade species — a row *at*
         # position j holds the vacancy, and the centre's own row (position
@@ -742,11 +884,34 @@ class VacancySystemEvaluator:
             pair_r[:, None] == self._state_cols, vac[:, None], own[:, None]
         )
         centers = np.where((pair_r == 0)[:, None], states, centers)
+        flat0 = counts0_np.reshape(n_pairs, -1)                   # (P, S*E)
+        if self._dedups() and self.row_keys.exact:
+            # Dedup in key space: the key is linear in the counts, so the
+            # patched rows' keys are the state-0 keys plus the patch keys,
+            # and float counts are only assembled for the unique rows.
+            layout = self.row_keys
+            keys = (flat0.astype(np.int64) @ layout.weights)[:, None]
+            keys = keys + self._patch_keys[idx]
+            keys += centers * layout.center_weight
+            keys = keys.reshape(-1)
+            first, inverse = _group_keys(keys)
+            counts_u = self._patch_table[idx.reshape(-1)[first]]
+            counts_u += flat0[first // n_states]
+            energies = self._unique_energies(
+                keys[first],
+                xp.asarray(centers.reshape(-1)[first]),
+                xp.from_numpy(counts_u.reshape(-1, tet.n_shells, n_el)),
+            )
+            return xp.to_numpy(energies)[inverse].reshape(n_pairs, n_states)
+        # Every patched row in one fused ``(P, 9)`` table gather and one
+        # contiguous add over the whole ``(P, 9, S * E)`` tensor.
+        counts_np = self._patch_table[idx]                        # (P, 9, S*E)
+        counts_np += flat0[:, None, :]
         center_types = xp.asarray(centers.reshape(-1))
         flat_counts = xp.from_numpy(
             counts_np.reshape(-1, tet.n_shells, n_el)
         )
-        dedup = self._dedup_rows(center_types, flat_counts)
+        dedup = self._dedup_rows(center_types, flat_counts, checked=False)
         if dedup is not None:
             energies = self._unique_row_energies(
                 dedup, center_types, flat_counts

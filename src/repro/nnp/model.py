@@ -109,7 +109,7 @@ class NNPotential(CountsPotential):
         )
         # New scaler == new energy function: bump the parameter epoch so
         # persistent row-energy caches drop values produced by the old one.
-        self.params_epoch = getattr(self, "params_epoch", 0) + 1
+        self._scaler_epoch = getattr(self, "_scaler_epoch", 0) + 1
         self._stage_standardisation()
 
     def _stage_standardisation(self) -> None:
@@ -155,6 +155,14 @@ class NNPotential(CountsPotential):
         out = xp.astype(xp.asarray(features), xp.float32) - self._mean_x
         out *= self._inv_std_x
         return out
+
+    @property
+    def params_epoch(self) -> int:
+        """Grows on every change of the energy function: a new scaler
+        (:meth:`set_standardisation`) or new network weights
+        (:meth:`~repro.nnp.network.AtomicNetwork.mark_parameters_changed`).
+        """
+        return self._scaler_epoch + self.networks.params_epoch
 
     @property
     def network_channels(self) -> Tuple[int, ...]:
@@ -302,9 +310,10 @@ class NNPotential(CountsPotential):
             channels, np.random.default_rng(0), n_elements=n_elements
         )
         for e, net in networks.nets.items():
-            for l in range(net.n_layers):
-                net.weights[l][...] = data[f"w_{e}_{l}"]
-                net.biases[l][...] = data[f"b_{e}_{l}"]
+            net.set_parameters([
+                data[f"{kind}_{e}_{l}"]
+                for l in range(net.n_layers) for kind in ("w", "b")
+            ])
         model = cls(table, networks, rcut=float(data["rcut"][0]))
         model.set_standardisation(
             data["feature_mean"],

@@ -59,6 +59,9 @@ class AtomicNetwork:
         for cin, cout in zip(channels[:-1], channels[1:]):
             self.weights.append(_he_init(rng, cin, cout, self.dtype))
             self.biases.append(np.zeros(cout, dtype=self.dtype))
+        #: Monotonic count of parameter changes (see
+        #: :meth:`mark_parameters_changed`).
+        self.params_epoch = 0
 
     @property
     def n_layers(self) -> int:
@@ -209,6 +212,19 @@ class AtomicNetwork:
         for l in range(self.n_layers):
             self.weights[l][...] = params[2 * l]
             self.biases[l][...] = params[2 * l + 1]
+        self.mark_parameters_changed()
+
+    def mark_parameters_changed(self) -> None:
+        """Record that the parameters changed in place.
+
+        The one path every mutation goes through: :meth:`set_parameters`
+        and the :class:`~repro.nnp.training.Adam` step both call it.  It
+        bumps :attr:`params_epoch`, which feeds the owning potential's
+        ``params_epoch``, so persistent row-energy caches drop energies of
+        the old weights.  Code writing into :attr:`weights` / ``biases``
+        directly must call it too.
+        """
+        self.params_epoch += 1
 
 
 class ElementNetworks:
@@ -332,3 +348,8 @@ class ElementNetworks:
     @property
     def n_parameters(self) -> int:
         return sum(net.n_parameters for net in self.nets.values())
+
+    @property
+    def params_epoch(self) -> int:
+        """Sum of the subnetworks' epochs: grows on any parameter change."""
+        return sum(net.params_epoch for net in self.nets.values())

@@ -35,7 +35,13 @@ __all__ = ["Adam", "TrainingHistory", "NNPTrainer"]
 
 
 class Adam:
-    """Adam optimiser over a list of parameter arrays (Kingma & Ba 2015)."""
+    """Adam optimiser over a list of parameter arrays (Kingma & Ba 2015).
+
+    ``modules`` are the owners of ``params`` (e.g. the
+    :class:`~repro.nnp.network.AtomicNetwork` instances): every step calls
+    their ``mark_parameters_changed()``, so caches keyed on the parameter
+    epoch see the in-place update.
+    """
 
     def __init__(
         self,
@@ -44,8 +50,10 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
+        modules: Sequence[object] = (),
     ) -> None:
         self.params = list(params)
+        self.modules = list(modules)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -69,6 +77,8 @@ class Adam:
             v += (1.0 - self.beta2) * g64 * g64
             update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
             p -= update.astype(p.dtype)
+        for module in self.modules:
+            module.mark_parameters_changed()
 
 
 @dataclass
@@ -168,10 +178,11 @@ class NNPTrainer:
         backpropagation.
         """
         model = self.model
+        nets = [model.networks.nets[e] for e in sorted(model.networks.nets)]
         params: List[np.ndarray] = []
-        for e in sorted(model.networks.nets):
-            params.extend(model.networks.nets[e].get_parameters())
-        opt = Adam(params, lr=lr)
+        for net in nets:
+            params.extend(net.get_parameters())
+        opt = Adam(params, lr=lr, modules=nets)
 
         n_structs = len(self.structures)
         history = TrainingHistory()

@@ -473,7 +473,7 @@ class SublatticeKMC:
         # counters are merged exactly once at the simulation level instead.
         self.row_cache_mode = row_cache
         self.row_cache: Optional[RowEnergyCache] = None
-        if resolve_row_cache(row_cache, potential):
+        if resolve_row_cache(row_cache, potential, evaluator.row_keys.kind):
             budget = (
                 None if row_cache_mb is None
                 else int(float(row_cache_mb) * 1024 * 1024)
@@ -716,6 +716,8 @@ class SublatticeKMC:
             if all(r.kernel.delta_active() for r in self.ranks)
             else "full"
         )
+        out["row_cache"] = "off" if self.row_cache is None else "on"
+        out["row_key_layout"] = self.evaluator.row_keys.kind
         if self.row_cache is not None:
             out["row_cache_hit_rate"] = self.row_cache.hit_rate
             # Resident contents live in the worker replicas under the

@@ -62,3 +62,20 @@ def nnp_small(tet_small: TripleEncoding) -> NNPotential:
         energy_scale=0.05,
     )
     return model
+
+
+@pytest.fixture(scope="session")
+def nnp_standard(tet_standard: TripleEncoding) -> NNPotential:
+    """An untrained NNP over the paper's 6.5-Angstrom shells (16 channels
+    per row: the wide row-key layout)."""
+    rng = np.random.default_rng(11)
+    table = FeatureTable(tet_standard.shell_distances)
+    nets = ElementNetworks((2 * table.n_dim, 16, 8, 1), rng)
+    model = NNPotential(table, nets, rcut=RCUT_STANDARD)
+    model.set_standardisation(
+        feature_mean=np.full(2 * table.n_dim, 0.1, dtype=np.float32),
+        feature_std=np.full(2 * table.n_dim, 2.0, dtype=np.float32),
+        reference_energies=np.array([-4.0, -3.5]),
+        energy_scale=0.05,
+    )
+    return model

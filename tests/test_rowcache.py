@@ -32,7 +32,10 @@ from repro.io import (
     save_parallel_checkpoint,
 )
 from repro.lattice import LatticeState
+from repro.nnp import ElementNetworks, NNPotential
+from repro.nnp.training import Adam
 from repro.parallel import SublatticeKMC
+from repro.potentials import FeatureTable
 
 
 def _torch_available() -> bool:
@@ -458,3 +461,86 @@ class TestCampaignSharedCache:
                 self.SPECS, self._factory(tet_small, nnp_small),
                 row_cache="perhaps",
             )
+
+
+# ---------------------------------------------------------------------------
+# Stale parameters: every weight change must reach the cache binding
+# ---------------------------------------------------------------------------
+
+
+def _fresh_nnp(tet):
+    """An NNP like ``nnp_small`` that a test may mutate freely."""
+    rng = np.random.default_rng(11)
+    table = FeatureTable(tet.shell_distances)
+    nets = ElementNetworks((2 * table.n_dim, 16, 8, 1), rng)
+    model = NNPotential(table, nets, rcut=tet.rcut)
+    model.set_standardisation(
+        feature_mean=np.full(2 * table.n_dim, 0.1, dtype=np.float32),
+        feature_std=np.full(2 * table.n_dim, 2.0, dtype=np.float32),
+        reference_energies=np.array([-4.0, -3.5]),
+        energy_scale=0.05,
+    )
+    return model
+
+
+def _scale_weights(pot):
+    net = pot.networks.nets[0]
+    net.set_parameters([p * 1.5 for p in net.get_parameters()])
+
+
+def _adam_step(pot):
+    net = pot.networks.nets[0]
+    params = net.get_parameters()
+    Adam(params, lr=0.05, modules=[net]).step(
+        [np.ones_like(p) for p in params]
+    )
+
+
+class TestStaleParameters:
+    @pytest.mark.parametrize(
+        "update", [_scale_weights, _adam_step], ids=["set_parameters", "adam"]
+    )
+    def test_weight_update_mid_run_matches_cache_off(self, tet_small, update):
+        """Regression: in-place weight updates did not bump the epoch, so
+        the cache served energies of the old weights after invalidate_all."""
+        outcomes = {}
+        for mode in ("off", "auto"):
+            pot = _fresh_nnp(tet_small)
+            engine = _serial_engine(tet_small, pot, row_cache=mode)
+            engine.run(n_steps=20, on_no_moves="stop")
+            update(pot)
+            engine.kernel.invalidate_all()
+            engine.run(n_steps=40, on_no_moves="stop")
+            outcomes[mode] = (occupancy_digest(engine.lattice), engine.time)
+        assert outcomes["auto"] == outcomes["off"]
+
+    def test_every_mutation_path_bumps_the_epoch(self, tet_small):
+        pot = _fresh_nnp(tet_small)
+        seen = [pot.params_epoch]
+        for change in (
+            _scale_weights,
+            _adam_step,
+            lambda p: p.set_standardisation(
+                p.feature_mean, p.feature_std, p.reference_energies,
+                p.energy_scale,
+            ),
+        ):
+            change(pot)
+            seen.append(pot.params_epoch)
+        assert seen == sorted(set(seen))  # strictly increasing
+
+    def test_sync_is_not_fooled_by_a_recycled_id(self):
+        """Regression: the binding was ``id(potential)``, which CPython
+        reissues to a new object once the old one is collected."""
+
+        class Frozen:
+            params_epoch = 0
+
+        cache = RowEnergyCache()
+        for _ in range(20):
+            pot = Frozen()
+            cache.sync(pot)
+            cache.insert(np.array([1]), np.array([1.0]))
+            del pot
+            cache.sync(Frozen())  # usually lands on the freed address
+            assert len(cache) == 0
